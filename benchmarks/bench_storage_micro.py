@@ -39,7 +39,6 @@ from repro.core.posting import (  # noqa: E402
     ChunkRun,
     LazyBytesReader,
     Posting,
-    block_codec_from_environ,
     build_rekey_operations,
     encode_blocked_chunk_runs,
     encode_blocked_id_postings,
@@ -173,10 +172,7 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
 
     The list is written to a heap file in the blocked layout and decoded
     page-at-a-time through ``LazyBytesReader`` — the exact code path of the
-    ID/ID-TermScore query scan under the production (blocked) codec.  The
-    block payload codec follows ``REPRO_BLOCK_CODEC``, so running the bench
-    with ``groupvarint`` vs the ``varbyte`` default measures the group-varint
-    decode speedup directly; ``extra["codec"]`` records which one was timed.
+    ID/ID-TermScore query scan.
     """
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.longlists")
@@ -193,16 +189,11 @@ def bench_decode_id_list(decode_postings: int, **_: object) -> dict:
             operations += 1
     elapsed = time.perf_counter() - start
     checksum = postings[-1].doc_id
-    return {"seconds": elapsed, "operations": operations, "checksum": checksum,
-            "extra": {"codec": block_codec_from_environ()}}
+    return {"seconds": elapsed, "operations": operations, "checksum": checksum}
 
 
 def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
-    """Full lazy scan of one blocked chunked long list (the Chunk query scan).
-
-    Codec selection follows ``REPRO_BLOCK_CODEC`` exactly as in
-    :func:`bench_decode_id_list`.
-    """
+    """Full lazy scan of one blocked chunked long list (the Chunk query scan)."""
     env = StorageEnvironment(cache_pages=65536, page_size=4096)
     heap = env.create_heapfile("bench.chunklists")
     chunk_size = 512
@@ -221,8 +212,7 @@ def bench_decode_chunk_list(decode_postings: int, **_: object) -> dict:
         for _chunk_id, _doc_id, _term_score in iter_blocked_chunk_postings_lazy(reader):
             operations += 1
     elapsed = time.perf_counter() - start
-    return {"seconds": elapsed, "operations": operations,
-            "extra": {"codec": block_codec_from_environ()}}
+    return {"seconds": elapsed, "operations": operations}
 
 
 def bench_prefix_scan(docs: int, terms: int, **_: object) -> dict:

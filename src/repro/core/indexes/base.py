@@ -20,6 +20,7 @@ by the update algorithms (``Content(id)`` in Algorithm 1).
 from __future__ import annotations
 
 import abc
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,13 +34,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.core.list_cache import InvertedListCache, list_cache_pages_from_environ
-from repro.core.posting import (
-    LazyBytesReader,
-    block_seeking_enabled,
-    blocked_postings_enabled,
-    peek_blocked_directory,
-    read_blocked_total,
-)
+from repro.core.posting import LazyBytesReader, peek_blocked_directory
 from repro.core.result_heap import HeapThreshold
 from repro.obs.trace import span
 from repro.storage.environment import StorageEnvironment
@@ -84,7 +79,7 @@ class QueryStats:
     terms_skipped: int = 0
     #: EXPLAIN ANALYZE's skip-decision journal: ``None`` (the default) keeps
     #: the hot path allocation-free; armed by :func:`capture_query_analysis`,
-    #: each prune/seek skip appends one dict recording the term, the number
+    #: each prune skip appends one dict recording the term, the number
     #: of blocks skipped, the heap floor at the decision and the pruned
     #: block's bound.
     skip_events: "list[dict] | None" = None
@@ -191,25 +186,11 @@ class InvertedIndex(abc.ABC):
         from it.
     name:
         Index name, used to derive store names inside the environment.
-    blocked_postings:
-        Whether long lists are written with the blocked codec (per-block skip
-        metadata + CRC; see :mod:`repro.core.posting`).  ``None`` (default)
-        resolves the process-wide :func:`blocked_postings_enabled` flag —
-        ``REPRO_BLOCKED_POSTINGS=0`` is the fidelity off-switch that keeps the
-        seed's legacy payloads and I/O fingerprints bit-identical.
     block_max_pruning:
-        Whether query scans may skip whole blocks whose max-score bound cannot
-        beat the result-heap threshold.  Only effective with the blocked
-        codec; the pruning-equivalence tests turn it off to compare against
-        the unpruned scan over the *same* payloads.
-    block_seeking:
-        Whether conjunctive queries over the blocked ID layout may *jump*
-        scans to the first viable block using the directory's ``last_doc_id``
-        entries (DAAT ``next_geq`` cursors) instead of merging every posting.
-        ``None`` resolves :func:`block_seeking_enabled`
-        (``REPRO_BLOCK_SEEKING``, default off): seeking preserves the top-k
-        but changes which pages a scan touches, so the pinned fig7/fig10
-        fingerprints keep it off.
+        Whether query scans may skip whole long-list blocks (see
+        :mod:`repro.core.posting`) whose max-score bound cannot beat the
+        result-heap threshold.  The pruning-equivalence tests turn it off to
+        compare against the unpruned scan over the *same* payloads.
     list_cache_pages:
         Byte budget of the hot-term decoded-postings cache, expressed in
         pages (see :mod:`repro.core.list_cache`).  ``None`` resolves
@@ -230,22 +211,12 @@ class InvertedIndex(abc.ABC):
 
     def __init__(self, env: "StorageEnvironment | ShardedEnvironment",
                  documents: DocumentStore, name: str = "svr",
-                 blocked_postings: "bool | None" = None,
                  block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         self.env = env
         self.documents = documents
         self.name = name
-        self.blocked_postings = (
-            blocked_postings_enabled() if blocked_postings is None
-            else bool(blocked_postings)
-        )
         self.block_max_pruning = bool(block_max_pruning)
-        self.block_seeking = (
-            block_seeking_enabled() if block_seeking is None
-            else bool(block_seeking)
-        )
         self.list_cache = self._make_list_cache(list_cache_pages)
         self._plan_cache: "dict[str, _TermPlan]" = {}
         self.score_table = self._create_kvstore(f"{name}.score", key_shard="doc")
@@ -302,7 +273,7 @@ class InvertedIndex(abc.ABC):
             self.env.pool.drop(store.page_ids(accounted=accounted))
 
     # ------------------------------------------------------------------
-    # Hot-term list cache + directory-served planner estimates
+    # Hot-term list cache and planner descriptions
     # ------------------------------------------------------------------
 
     def _make_list_cache(self, list_cache_pages: "int | None") -> "InvertedListCache | None":
@@ -349,47 +320,23 @@ class InvertedIndex(abc.ABC):
         cache.put(shard, term, postings, nbytes=handle.length)
         return postings
 
-    def estimate_term_list_length(self, term: str) -> "int | None":
-        """Planner estimate of a term's long-list posting count.
-
-        Served from the blocked header alone — four fixed bytes plus one
-        varint on the segment's first page, read through the peek path so the
-        estimate costs zero accounted I/O (``pages_read``-free).  Returns
-        ``None`` when the method has no per-term segments, the payload
-        predates the blocked format, or the header is unreadable; ``0`` when
-        the term has no long list at all.
-        """
-        segments = getattr(self, "_segments", None)
-        long_lists = getattr(self, "_long_lists", None)
-        if segments is None or long_lists is None:
-            return None
-        handle = segments.get(term)
-        if handle is None:
-            return 0
-        reader = LazyBytesReader(long_lists.peek_pages(handle))
-        try:
-            return read_blocked_total(reader)
-        except ReproError:
-            return None
-
     def describe_term_plan(self, term: str) -> dict:
         """Planner-visible description of one term's long-list scan.
 
         The EXPLAIN building block: everything here is served from existing
         in-memory state (segment dictionaries, cache membership) or the
-        accounting-free peek path (the blocked header + directory), so
+        accounting-free peek path (the list header + directory), so
         describing a plan performs **zero accounted storage accesses**.
 
-        ``layout`` is one of ``"blocked"`` (directory-backed payload),
-        ``"legacy"`` (pre-blocked flat encoding), ``"btree-clustered"``
-        (methods like Score whose postings live in a clustered B+-tree, not
-        per-term segments), ``"absent"`` (no long list for this term) or
-        ``"unreadable"`` (a blocked payload whose directory failed its CRC).
+        ``layout`` is one of ``"blocked"`` (a per-term segment),
+        ``"btree-clustered"`` (methods like Score whose postings live in a
+        clustered B+-tree, not per-term segments), ``"absent"`` (no long list
+        for this term) or ``"unreadable"`` (a segment whose directory failed
+        its CRC).
         """
         plan: dict = {
             "term": term,
             "layout": None,
-            "codec": None,
             "blocks": None,
             "estimated_postings": None,
             "segment_bytes": None,
@@ -414,9 +361,6 @@ class InvertedIndex(abc.ABC):
                 "cached": cache.peek(shard, term),
                 "cacheable": handle.length <= cache.budget_bytes,
             }
-        if not self.blocked_postings:
-            plan["layout"] = "legacy"
-            return plan
         try:
             directory = peek_blocked_directory(
                 LazyBytesReader(long_lists.peek_pages(handle))
@@ -424,11 +368,10 @@ class InvertedIndex(abc.ABC):
         except ReproError:
             plan["layout"] = "unreadable"
             return plan
-        if directory is None:
-            plan["layout"] = "legacy"
-            return plan
         plan["layout"] = "blocked"
-        plan["codec"] = directory.codec
+        if directory is None:
+            plan["estimated_postings"] = 0
+            return plan
         plan["blocks"] = len(directory.blocks)
         plan["estimated_postings"] = directory.total
         plan["with_term_scores"] = directory.with_term_scores
@@ -444,7 +387,7 @@ class InvertedIndex(abc.ABC):
 
         ``terms`` may be supplied to register the document's content with the
         forward index; if omitted the document must already be present there.
-        Scores must be non-negative (§4.1).
+        Scores must be finite and non-negative (§4.1).
         """
         self._check_not_finalized("add_document")
         score = self._validate_score(score)
@@ -527,9 +470,10 @@ class InvertedIndex(abc.ABC):
         run instead of once per key.
 
         Returns the number of updates applied.  Like a sequential loop, a
-        validation failure (negative score, unknown document) raises before
-        any update in the batch is applied — the batch is pre-validated, which
-        is strictly safer than the sequential loop's fail-midway behaviour.
+        validation failure (negative or non-finite score, unknown document)
+        raises before any update in the batch is applied — the batch is
+        pre-validated, which is strictly safer than the sequential loop's
+        fail-midway behaviour.
         """
         self._check_finalized("apply_batch")
         changes: list[tuple[int, float, float]] = []
@@ -683,10 +627,10 @@ class InvertedIndex(abc.ABC):
         parallel fan-out can hand the same object to every shard executor —
         the scans only ever read the (monotone) floor, the merge's result
         heap only ever raises it, so sharing it across threads is race-free
-        by construction.  ``None`` whenever pruning cannot apply (legacy
-        codec, or pruning disabled), which keeps the scans' skip step inert.
+        by construction.  ``None`` when pruning is disabled, which keeps the
+        scans' skip step inert.
         """
-        if not (self.blocked_postings and self.block_max_pruning):
+        if not self.block_max_pruning:
             return None
         return HeapThreshold()
 
@@ -735,7 +679,7 @@ class InvertedIndex(abc.ABC):
 
         ``threshold`` is the query's shared :class:`HeapThreshold` (or
         ``None``): methods whose long-list rank order admits a sound bound
-        consult ``threshold.floor`` before each blocked payload block and end
+        consult ``threshold.floor`` before each long-list block and end
         the scan when the block's bound cannot make the top-k any more —
         the MaxScore/WAND-style skip step.
 
@@ -890,8 +834,8 @@ class InvertedIndex(abc.ABC):
         if not isinstance(score, (int, float)) or isinstance(score, bool):
             raise InvertedIndexError(f"scores must be numbers, got {score!r}")
         score = float(score)
-        if score < 0:
-            raise InvertedIndexError(f"scores must be non-negative, got {score}")
+        if not math.isfinite(score) or score < 0:
+            raise InvertedIndexError(f"scores must be finite and non-negative, got {score}")
         return score
 
     def _check_finalized(self, operation: str) -> None:

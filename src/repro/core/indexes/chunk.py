@@ -26,9 +26,7 @@ from repro.core.posting import (
     LazyBytesReader,
     build_chunk_runs,
     encode_blocked_chunk_runs,
-    encode_chunk_runs,
     iter_blocked_chunk_postings_lazy,
-    iter_chunk_postings_lazy,
 )
 from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
@@ -64,14 +62,10 @@ class ChunkIndex(InvertedIndex):
                  name: str = "svr", chunk_ratio: float = 6.12,
                  min_chunk_size: int = 100,
                  chunk_strategy: ChunkStrategy | None = None,
-                 blocked_postings: "bool | None" = None,
                  block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         if chunk_strategy is None and chunk_ratio <= 1.0:
             raise InvertedIndexError(f"chunk_ratio must be greater than 1, got {chunk_ratio}")
@@ -113,14 +107,9 @@ class ChunkIndex(InvertedIndex):
                 )
         for term, entries in term_docs.items():
             runs = build_chunk_runs(entries)
-            if self.blocked_postings:
-                payload = encode_blocked_chunk_runs(
-                    runs, with_term_scores=self.stores_term_scores
-                )
-            else:
-                payload = encode_chunk_runs(
-                    runs, with_term_scores=self.stores_term_scores
-                )
+            payload = encode_blocked_chunk_runs(
+                runs, with_term_scores=self.stores_term_scores
+            )
             self._segments[term] = self._long_lists.write(payload, key=term)
             self.update_stats.long_list_postings_written += len(entries)
 
@@ -318,54 +307,50 @@ class ChunkIndex(InvertedIndex):
                    ) -> "Iterator[tuple[int, int, float]]":
         """Stream ``(chunk_id, doc_id, term_score)`` triples from the long list.
 
-        With the blocked codec and a live threshold, the scan applies the
-        block-max skip step: a block whose highest chunk id ``cid`` satisfies
-        ``lower_bound(cid + 2) <= floor`` cannot hold a document able to enter
-        the top-k (the end-of-chunk stopping rule of :meth:`_can_stop` applied
-        per block — a document in chunk ``cid`` or below can have climbed at
-        most one chunk without owning short-list postings), and neither can any
-        later block, so the stream ends without fetching their pages.
+        With a live threshold, the scan applies the block-max skip step: a
+        block whose highest chunk id ``cid`` satisfies ``lower_bound(cid + 2)
+        <= floor`` cannot hold a document able to enter the top-k (the
+        end-of-chunk stopping rule of :meth:`_can_stop` applied per block — a
+        document in chunk ``cid`` or below can have climbed at most one chunk
+        without owning short-list postings), and neither can any later block,
+        so the stream ends without fetching their pages.
         """
         handle = self._segments.get(term)
         if handle is None:
             return
-        if self.blocked_postings:
-            cached = self._cached_long_postings(
-                self._long_lists, handle, term, iter_blocked_chunk_postings_lazy
-            )
-            if cached is not None:
-                # Served from memory: no pages to save, so the block-max skip
-                # step is moot — the merge still stops pulling at its own
-                # stopping rule (the stream stays lazy).
-                for posting in cached:
-                    stats.postings_scanned += 1
-                    yield posting
-                return
+        cached = self._cached_long_postings(
+            self._long_lists, handle, term, iter_blocked_chunk_postings_lazy
+        )
+        if cached is not None:
+            # Served from memory: no pages to save, so the block-max skip
+            # step is moot — the merge still stops pulling at its own
+            # stopping rule (the stream stays lazy).
+            for posting in cached:
+                stats.postings_scanned += 1
+                yield posting
+            return
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        if self.blocked_postings:
-            prune = None
-            on_skip = None
-            if threshold is not None and self.chunk_map is not None:
-                chunk_map = self.chunk_map
+        prune = None
+        on_skip = None
+        if threshold is not None and self.chunk_map is not None:
+            chunk_map = self.chunk_map
 
-                def prune(block, threshold=threshold, chunk_map=chunk_map):
-                    return chunk_map.lower_bound(int(block.bound) + 2) <= threshold.floor
+            def prune(block, threshold=threshold, chunk_map=chunk_map):
+                return chunk_map.lower_bound(int(block.bound) + 2) <= threshold.floor
 
-                def on_skip(skipped, block, stats=stats, term=term,
-                            threshold=threshold, chunk_map=chunk_map):
-                    stats.blocks_skipped += skipped
-                    events = stats.skip_events
-                    if events is not None:
-                        events.append({
-                            "term": term, "kind": "prune", "blocks": skipped,
-                            "floor": threshold.floor,
-                            "bound": chunk_map.lower_bound(int(block.bound) + 2),
-                        })
+            def on_skip(skipped, block, stats=stats, term=term,
+                        threshold=threshold, chunk_map=chunk_map):
+                stats.blocks_skipped += skipped
+                events = stats.skip_events
+                if events is not None:
+                    events.append({
+                        "term": term, "kind": "prune", "blocks": skipped,
+                        "floor": threshold.floor,
+                        "bound": chunk_map.lower_bound(int(block.bound) + 2),
+                    })
 
-            postings = iter_blocked_chunk_postings_lazy(reader, prune=prune,
-                                                        on_skip=on_skip)
-        else:
-            postings = iter_chunk_postings_lazy(reader)
+        postings = iter_blocked_chunk_postings_lazy(reader, prune=prune,
+                                                    on_skip=on_skip)
         for posting in self._tag_scan_errors(handle, postings):
             stats.postings_scanned += 1
             yield posting

@@ -44,15 +44,11 @@ class ChunkTermScoreIndex(ChunkIndex):
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", chunk_ratio: float = 6.12, min_chunk_size: int = 100,
                  chunk_strategy=None, term_weight: float = 1.0,
-                 fancy_size: int = 50, blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
+                 fancy_size: int = 50, block_max_pruning: bool = True,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name, chunk_ratio=chunk_ratio,
                          min_chunk_size=min_chunk_size, chunk_strategy=chunk_strategy,
-                         blocked_postings=blocked_postings,
                          block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         self.term_weight = float(term_weight)
         self.fancy_size = int(fancy_size)
@@ -150,7 +146,7 @@ class ChunkTermScoreIndex(ChunkIndex):
     # -- query (Algorithm 3) ----------------------------------------------------------------
 
     def _make_query_threshold(self) -> "HeapThreshold | None":
-        if not (self.blocked_postings and self.block_max_pruning):
+        if not self.block_max_pruning:
             return None
         # The combined-scoring stopping rule is only sound once the remainList
         # is empty, so the threshold starts gated: block-max prune closures see

@@ -49,8 +49,8 @@ class ChunkMap:
 
     def chunk_of(self, score: float) -> int:
         """Chunk id (1-based) of a score."""
-        if score < 0:
-            raise InvertedIndexError(f"scores must be non-negative, got {score}")
+        if not math.isfinite(score) or score < 0:
+            raise InvertedIndexError(f"scores must be finite and non-negative, got {score}")
         return bisect.bisect_right(self.lower_bounds, score)
 
     def lower_bound(self, chunk_id: int) -> float:

@@ -16,19 +16,14 @@ their current scores.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
-from repro.errors import ReproError
 from repro.core.indexes.base import InvertedIndex, QueryResult, QueryStats, _StagedDocument, _TermPlan
 from repro.core.posting import (
-    BlockedIDSeeker,
     LazyBytesReader,
     Posting,
     encode_blocked_id_postings,
-    encode_id_postings,
     iter_blocked_id_postings_lazy,
-    iter_id_postings_lazy,
 )
 from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
@@ -38,100 +33,6 @@ from repro.text.documents import Document, DocumentStore
 #: Marker values stored in the delta list.
 _ADD = "ADD"
 _REM = "REM"
-
-
-class _ListSeeker:
-    """In-memory ``next_geq`` cursor over already-decoded postings.
-
-    Presents the same cursor surface as :class:`BlockedIDSeeker` for postings
-    served from the hot-term list cache, so the seek-merge works identically
-    whether a term's list comes from pages or from memory.
-    """
-
-    __slots__ = ("head", "total", "_postings", "_docs", "_pos")
-
-    def __init__(self, postings: "list[tuple[int, float]]") -> None:
-        self._postings = postings
-        self._docs = [posting[0] for posting in postings]
-        self._pos = 0
-        self.total = len(postings)
-        self.head = postings[0] if postings else None
-
-    def next_geq(self, target: int) -> "tuple[int, float] | None":
-        if self.head is None or self.head[0] >= target:
-            return self.head
-        pos = bisect_left(self._docs, target, self._pos + 1)
-        if pos >= len(self._postings):
-            self.head = None
-            return None
-        self._pos = pos
-        self.head = self._postings[pos]
-        return self.head
-
-
-class _SeekableTermStream:
-    """One term's seekable scan: long-list cursor merged with the delta list.
-
-    Mirrors :meth:`IDIndex._merge_with_delta` semantics posting-for-posting —
-    delta adds interleave in id order, removed ids and ids superseded by an
-    add are skipped — but exposes ``head`` / ``next_geq`` instead of a
-    forward-only iterator, so the DAAT conjunctive merge can jump it.
-    Failures surfacing from the underlying cursor are stamped with the
-    segment's shard, matching ``_tag_scan_errors``.
-    """
-
-    __slots__ = ("head", "_seeker", "_adds", "_add_docs", "_add_pos",
-                 "_removed", "_seen_add_ids", "_stats", "_shard")
-
-    def __init__(self, seeker, adds: "list[tuple[int, float]]",
-                 removed: set[int], stats: QueryStats,
-                 shard: "int | None") -> None:
-        self._seeker = seeker
-        self._adds = adds
-        self._add_docs = [doc_id for doc_id, _ts in adds]
-        self._add_pos = 0
-        self._removed = removed
-        self._seen_add_ids = set(self._add_docs)
-        self._stats = stats
-        self._shard = shard
-        self.head: "tuple[int, float] | None" = None
-        self._settle(0)
-
-    @property
-    def approximate_length(self) -> int:
-        """Directory-served list length (long list + delta adds)."""
-        total = self._seeker.total if self._seeker is not None else 0
-        return total + len(self._adds)
-
-    def next_geq(self, target: int) -> "tuple[int, float] | None":
-        if self.head is not None and self.head[0] >= target:
-            return self.head
-        self._settle(target)
-        return self.head
-
-    def _settle(self, target: int) -> None:
-        """Position ``head`` on the smallest live posting with id >= target."""
-        pos = bisect_left(self._add_docs, target, self._add_pos)
-        self._add_pos = pos
-        long_head = None
-        if self._seeker is not None:
-            try:
-                long_head = self._seeker.next_geq(target)
-                while long_head is not None and (
-                        long_head[0] in self._removed
-                        or long_head[0] in self._seen_add_ids):
-                    long_head = self._seeker.next_geq(long_head[0] + 1)
-            except ReproError as exc:
-                if self._shard is not None and getattr(exc, "shard", None) is None:
-                    exc.shard = self._shard
-                raise
-        if pos < len(self._adds) and (long_head is None
-                                      or self._adds[pos][0] < long_head[0]):
-            self.head = self._adds[pos]
-        else:
-            self.head = long_head
-        if self.head is not None:
-            self._stats.postings_scanned += 1
 
 
 def merge_streams_by_doc_id(
@@ -174,14 +75,10 @@ class IDIndex(InvertedIndex):
     prunes_blocks = False
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
-                 name: str = "svr", blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
+                 name: str = "svr", block_max_pruning: bool = True,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         self._long_lists = self._create_heapfile(f"{name}.long")
         self._segments: dict[str, SegmentHandle] = {}
@@ -198,14 +95,9 @@ class IDIndex(InvertedIndex):
             postings = [
                 self._make_posting(doc_id, term) for doc_id in sorted(set(doc_ids))
             ]
-            if self.blocked_postings:
-                payload = encode_blocked_id_postings(
-                    postings, with_term_scores=self.stores_term_scores
-                )
-            else:
-                payload = encode_id_postings(
-                    postings, with_term_scores=self.stores_term_scores
-                )
+            payload = encode_blocked_id_postings(
+                postings, with_term_scores=self.stores_term_scores
+            )
             self._segments[term] = self._long_lists.write(payload, key=term)
             self.update_stats.long_list_postings_written += len(postings)
 
@@ -300,94 +192,6 @@ class IDIndex(InvertedIndex):
         del doc_id, found, terms
         return svr_score
 
-    def _execute_query(self, terms: list[str], k: int, conjunctive: bool,
-                       stats: QueryStats) -> list[QueryResult]:
-        if (self.block_seeking and conjunctive and len(terms) > 1
-                and self.blocked_postings):
-            return self._execute_conjunctive_seek(terms, k, stats)
-        return super()._execute_query(terms, k, conjunctive, stats)
-
-    def _execute_conjunctive_seek(self, terms: list[str], k: int,
-                                  stats: QueryStats) -> list[QueryResult]:
-        """DAAT lockstep conjunctive merge with directory-directed seeking.
-
-        Every term holds a ``next_geq`` cursor; the candidate is the maximum
-        of the cursor heads, each round advances every cursor to it, and all
-        cursors agreeing means a match.  Cursors are ordered rarest-first
-        (directory-served length estimates) so the most selective list drives
-        the candidate and the common lists absorb the jumps — a jump past
-        whole blocks never fetches the pages underneath them.  Only available
-        on the serial path: the parallel fan-out pumps forward-only streams
-        through the shard executors, which cannot be jumped.
-        """
-        cursors: list[tuple[int, _SeekableTermStream]] = []
-        for index, term in enumerate(terms):
-            stream = self._seekable_term_stream(term, stats)
-            if stream.head is None:
-                # A term with no live postings empties the conjunction.
-                return []
-            cursors.append((index, stream))
-        cursors.sort(key=lambda pair: pair[1].approximate_length)
-        heap = ResultHeap(k)
-        candidate = max(stream.head[0] for _index, stream in cursors)
-        while True:
-            matched = True
-            for _index, stream in cursors:
-                head = stream.next_geq(candidate)
-                if head is None:
-                    return [QueryResult(entry.doc_id, entry.score)
-                            for entry in heap.results()]
-                if head[0] != candidate:
-                    candidate = head[0]
-                    matched = False
-                    break
-            if not matched:
-                continue
-            found = {index: stream.head for index, stream in cursors}
-            stats.candidates += 1
-            score = self._live_score(candidate)
-            stats.score_lookups += 1
-            if score is not None:
-                stats.heap_offers += 1
-                heap.add(candidate, self._result_score(candidate, score, found, terms))
-            candidate += 1
-
-    def _seekable_term_stream(self, term: str,
-                              stats: QueryStats) -> _SeekableTermStream:
-        """Build one term's seekable cursor (cache-served when possible)."""
-        adds, removed = self._load_delta(term)
-        handle = self._segments.get(term)
-        if handle is None:
-            return _SeekableTermStream(None, adds, removed, stats, None)
-        shard = getattr(handle, "shard", None)
-        cached = self._cached_long_postings(
-            self._long_lists, handle, term, iter_blocked_id_postings_lazy
-        )
-        if cached is not None:
-            return _SeekableTermStream(_ListSeeker(cached), adds, removed,
-                                       stats, shard)
-
-        def on_skip(blocks: int, _block=None) -> None:
-            stats.blocks_skipped += blocks
-            events = stats.skip_events
-            if events is not None:
-                # A seek jump prunes against a document-id target, not a
-                # score bound — there is no floor/bound pair to record.
-                events.append({"term": term, "kind": "seek",
-                               "blocks": blocks, "floor": None,
-                               "bound": None})
-
-        def open_pages(start_byte: int):
-            return self._long_lists.iter_pages(handle, start_byte)
-
-        try:
-            seeker = BlockedIDSeeker(open_pages, on_skip=on_skip)
-        except ReproError as exc:
-            if shard is not None and getattr(exc, "shard", None) is None:
-                exc.shard = shard
-            raise
-        return _SeekableTermStream(seeker, adds, removed, stats, shard)
-
     def _term_stream(self, term: str, stats: QueryStats) -> "Iterator[tuple[int, float]]":
         """Long-list postings merged with the delta list for one term, ID order.
 
@@ -403,20 +207,16 @@ class IDIndex(InvertedIndex):
         handle = self._segments.get(term)
         if handle is None:
             return
-        if self.blocked_postings:
-            cached = self._cached_long_postings(
-                self._long_lists, handle, term, iter_blocked_id_postings_lazy
-            )
-            if cached is not None:
-                for posting in cached:
-                    stats.postings_scanned += 1
-                    yield posting
-                return
+        cached = self._cached_long_postings(
+            self._long_lists, handle, term, iter_blocked_id_postings_lazy
+        )
+        if cached is not None:
+            for posting in cached:
+                stats.postings_scanned += 1
+                yield posting
+            return
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        if self.blocked_postings:
-            postings = iter_blocked_id_postings_lazy(reader)
-        else:
-            postings = iter_id_postings_lazy(reader)
+        postings = iter_blocked_id_postings_lazy(reader)
         for posting in self._tag_scan_errors(handle, postings):
             stats.postings_scanned += 1
             yield posting

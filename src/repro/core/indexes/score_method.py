@@ -32,18 +32,14 @@ class ScoreIndex(InvertedIndex):
     prunes_blocks = False
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
-                 name: str = "svr", blocked_postings: "bool | None" = None,
-                 block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
+                 name: str = "svr", block_max_pruning: bool = True,
                  list_cache_pages: "int | None" = None) -> None:
         # The clustered score lists live in a B+-tree, not heap-file payloads,
-        # so the blocked codec (and its block-max skip step, seeking, and the
-        # hot-term cache) does not apply; the flags are accepted for
-        # constructor uniformity across methods.
+        # so the blocked layout (its block-max skip step and the hot-term
+        # cache) does not apply; the options are accepted for constructor
+        # uniformity across methods.
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         # Key: (term, -score, doc_id) -> None.  Negating the score makes the
         # B+-tree's ascending key order correspond to descending score order.

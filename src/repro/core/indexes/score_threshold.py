@@ -26,9 +26,7 @@ from repro.core.posting import (
     LazyBytesReader,
     ScoredPosting,
     encode_blocked_scored_postings,
-    encode_scored_postings,
     iter_blocked_scored_postings_lazy,
-    iter_scored_postings_lazy,
 )
 from repro.core.result_heap import HeapThreshold, ResultHeap, merge_ranked_streams
 from repro.storage.environment import StorageEnvironment
@@ -55,14 +53,10 @@ class ScoreThresholdIndex(InvertedIndex):
 
     def __init__(self, env: StorageEnvironment, documents: DocumentStore,
                  name: str = "svr", threshold_ratio: float = 11.24,
-                 blocked_postings: "bool | None" = None,
                  block_max_pruning: bool = True,
-                 block_seeking: "bool | None" = None,
                  list_cache_pages: "int | None" = None) -> None:
         super().__init__(env, documents, name=name,
-                         blocked_postings=blocked_postings,
                          block_max_pruning=block_max_pruning,
-                         block_seeking=block_seeking,
                          list_cache_pages=list_cache_pages)
         if threshold_ratio < 1.0:
             raise InvertedIndexError(
@@ -95,10 +89,7 @@ class ScoreThresholdIndex(InvertedIndex):
             postings = [
                 ScoredPosting(doc_id=doc_id, score=score) for score, doc_id in entries
             ]
-            if self.blocked_postings:
-                payload = encode_blocked_scored_postings(postings, with_term_scores=False)
-            else:
-                payload = encode_scored_postings(postings, with_term_scores=False)
+            payload = encode_blocked_scored_postings(postings, with_term_scores=False)
             self._segments[term] = self._long_lists.write(payload, key=term)
             self.update_stats.long_list_postings_written += len(postings)
 
@@ -261,55 +252,50 @@ class ScoreThresholdIndex(InvertedIndex):
                    ) -> "Iterator[tuple[int, float, float]]":
         """Stream ``(doc_id, score, term_score)`` tuples from the long list.
 
-        With the blocked codec and a live threshold, the scan applies the
-        block-max skip step: a block whose largest stored score ``s`` has
-        ``thresholdValueOf(s) = ratio * s`` below the heap floor cannot
-        contain a document able to enter the top-k (Lemma 1.2/1.3 at block
-        granularity — any higher-scoring document has been promoted to the
-        short lists, whose postings sort ahead of its long-list ones), and
-        neither can any later block, so the stream ends without fetching
-        their pages.
+        With a live threshold, the scan applies the block-max skip step: a
+        block whose largest stored score ``s`` has ``thresholdValueOf(s) =
+        ratio * s`` below the heap floor cannot contain a document able to
+        enter the top-k (Lemma 1.2/1.3 at block granularity — any
+        higher-scoring document has been promoted to the short lists, whose
+        postings sort ahead of its long-list ones), and neither can any later
+        block, so the stream ends without fetching their pages.
         """
         handle = self._segments.get(term)
         if handle is None:
             return
-        if self.blocked_postings:
-            cached = self._cached_long_postings(
-                self._long_lists, handle, term, iter_blocked_scored_postings_lazy
-            )
-            if cached is not None:
-                # Served from memory: no pages to save, so the block-max skip
-                # step is moot — the merge still stops pulling at its own
-                # termination condition (the stream stays lazy).
-                for posting in cached:
-                    stats.postings_scanned += 1
-                    yield posting
-                return
+        cached = self._cached_long_postings(
+            self._long_lists, handle, term, iter_blocked_scored_postings_lazy
+        )
+        if cached is not None:
+            # Served from memory: no pages to save, so the block-max skip
+            # step is moot — the merge still stops pulling at its own
+            # termination condition (the stream stays lazy).
+            for posting in cached:
+                stats.postings_scanned += 1
+                yield posting
+            return
         reader = LazyBytesReader(self._long_lists.iter_pages(handle))
-        if self.blocked_postings:
-            prune = None
-            on_skip = None
-            if threshold is not None:
-                ratio = self.threshold_ratio
+        prune = None
+        on_skip = None
+        if threshold is not None:
+            ratio = self.threshold_ratio
 
-                def prune(block, threshold=threshold, ratio=ratio):
-                    return ratio * block.bound < threshold.floor
+            def prune(block, threshold=threshold, ratio=ratio):
+                return ratio * block.bound < threshold.floor
 
-                def on_skip(skipped, block, stats=stats, term=term,
-                            threshold=threshold, ratio=ratio):
-                    stats.blocks_skipped += skipped
-                    events = stats.skip_events
-                    if events is not None:
-                        events.append({
-                            "term": term, "kind": "prune", "blocks": skipped,
-                            "floor": threshold.floor,
-                            "bound": ratio * block.bound,
-                        })
+            def on_skip(skipped, block, stats=stats, term=term,
+                        threshold=threshold, ratio=ratio):
+                stats.blocks_skipped += skipped
+                events = stats.skip_events
+                if events is not None:
+                    events.append({
+                        "term": term, "kind": "prune", "blocks": skipped,
+                        "floor": threshold.floor,
+                        "bound": ratio * block.bound,
+                    })
 
-            postings = iter_blocked_scored_postings_lazy(reader, prune=prune,
-                                                         on_skip=on_skip)
-        else:
-            postings = iter_scored_postings_lazy(reader)
+        postings = iter_blocked_scored_postings_lazy(reader, prune=prune,
+                                                     on_skip=on_skip)
         for posting in self._tag_scan_errors(handle, postings):
             stats.postings_scanned += 1
             yield posting

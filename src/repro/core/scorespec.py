@@ -10,6 +10,7 @@ the query algorithm (the TermScore index variants), exactly as §3.2 prescribes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -89,9 +90,9 @@ class ScoreSpec:
         """
         component_scores = [float(component(key)) for component in self.components]
         score = float(self.aggregate(*component_scores))
-        if score < 0:
+        if not math.isfinite(score) or score < 0:
             raise ScoreSpecError(
-                f"SVR scores must be non-negative (got {score} for key {key!r}); "
+                f"SVR scores must be finite and non-negative (got {score} for key {key!r}); "
                 "rescale the aggregation function"
             )
         return score

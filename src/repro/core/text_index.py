@@ -419,11 +419,12 @@ class SVRTextIndex:
         """Stage a pre-analysed document (term sequence) with its initial SVR score.
 
         The synthetic workloads generate term sequences directly; this entry
-        point skips the tokenisation pass they do not need.
+        point skips the tokenisation pass they do not need.  The index
+        validates the score before it registers the terms, so a refused
+        document leaves the forward index and dictionary unchanged.
         """
-        self.documents.add_terms(doc_id, terms)
+        self.router.add_document(doc_id, score, terms=terms)
         self.dictionary.add_document_terms(self.documents.get(doc_id).distinct_terms)
-        self.router.add_document(doc_id, score)
 
     def finalize(self) -> None:
         """Build the long inverted lists; required before updates and queries."""

@@ -1,10 +1,10 @@
 """Query EXPLAIN / EXPLAIN ANALYZE: the planner's view, optionally with actuals.
 
 :func:`explain_query` renders what the engine *would do* for a top-k query —
-per-term owning shard, storage layout (blocked vs legacy vs clustered),
-negotiated block codec, directory-served posting-count estimate, hot-term
-cache status, pruning/seek eligibility — without executing it.  Every fact is
-served from in-memory state or the buffer pool's accounting-free peek path
+per-term owning shard, storage layout (blocked vs clustered),
+directory-served posting-count estimate, hot-term cache status, pruning
+eligibility — without executing it.  Every fact is served from in-memory
+state or the buffer pool's accounting-free peek path
 (see :meth:`InvertedIndex.describe_term_plan`), so a plain EXPLAIN performs
 **zero accounted storage accesses**: fig7/table1 fingerprints cannot tell
 whether a plan was ever described.
@@ -45,31 +45,16 @@ def _term_plans(router, terms: list[str], conjunctive: bool) -> list[dict]:
     return plans
 
 
-def _engine_section(router, terms: list[str], conjunctive: bool) -> dict:
+def _engine_section(router) -> dict:
     index = router.index
-    # Seeking only runs on the serial path: the parallel fan-out feeds
-    # per-term scan plans to the stream pumps and never reaches the ID
-    # method's conjunctive-seek override.
-    seek_eligible = (
-        hasattr(index, "_execute_conjunctive_seek")
-        and index.block_seeking
-        and conjunctive
-        and len(terms) > 1
-        and index.blocked_postings
-        and not router.parallel
-    )
     return {
         "method": router.method_name,
         "shards": router.shard_count,
         "threads": router.threads,
         "parallel": router.parallel,
         "deterministic": router.deterministic,
-        "blocked_postings": index.blocked_postings,
         "block_max_pruning": index.block_max_pruning,
-        "block_seeking": index.block_seeking,
-        "pruning_eligible": (index.prunes_blocks and index.blocked_postings
-                             and index.block_max_pruning),
-        "seek_eligible": seek_eligible,
+        "pruning_eligible": index.prunes_blocks and index.block_max_pruning,
         "list_cache_enabled": index.list_cache is not None,
         "degraded": router.degraded,
         "quarantined_shards": list(router.quarantined_shards()),
@@ -187,7 +172,7 @@ def explain_query(engine, keywords: list[str], k: int = 10,
             "conjunctive": conjunctive,
             "analyze": analyze,
         },
-        "engine": _engine_section(router, terms, conjunctive),
+        "engine": _engine_section(router),
         "terms": _term_plans(router, terms, conjunctive),
         "execution": None,
     }
@@ -231,8 +216,7 @@ def render_text(plan: dict) -> str:
         + (" [degraded]" if engine["degraded"] else "")
     ]
     lines.append(
-        "  engine: blocked_postings={blocked_postings} "
-        "pruning={pruning_eligible} seeking={seek_eligible} "
+        "  engine: pruning={pruning_eligible} "
         "cache={list_cache_enabled} parallel={parallel}".format(**engine)
     )
     for term_plan in plan["terms"]:
@@ -240,8 +224,6 @@ def render_text(plan: dict) -> str:
             f"  term {term_plan['term']!r} -> shard {term_plan['shard']}",
             f"layout={term_plan['layout']}",
         ]
-        if term_plan["codec"] is not None:
-            parts.append(f"codec={term_plan['codec']}")
         if term_plan["blocks"] is not None:
             parts.append(f"blocks={term_plan['blocks']}")
         if term_plan["estimated_postings"] is not None:
@@ -259,13 +241,9 @@ def render_text(plan: dict) -> str:
                 detail.append(f"postings={actual['postings_scanned']}")
                 detail.append(f"blocks_skipped={actual['blocks_skipped']}")
             for event in actual["skip_events"]:
-                floor = event["floor"]
-                floor_note = "" if floor is None else f" floor={floor:.4g}"
-                bound = event["bound"]
-                bound_note = "" if bound is None else f" bound={bound:.4g}"
                 detail.append(
                     f"{event['kind']}[{event['blocks']} blocks"
-                    f"{floor_note}{bound_note}]"
+                    f" floor={event['floor']:.4g} bound={event['bound']:.4g}]"
                 )
             if detail:
                 lines.append("    actual: " + " ".join(detail))

@@ -156,7 +156,7 @@ _METRIC_HELP = {
     "query.pages_read": "Pages read from disk while answering queries.",
     "query.pool_hits": "Buffer-pool hits while answering queries.",
     "query.postings_scanned": "Postings decoded while answering queries.",
-    "query.blocks_skipped": "Posting blocks skipped by block-max pruning or seeking.",
+    "query.blocks_skipped": "Posting blocks skipped by block-max pruning.",
     "query.degraded": "Queries answered with quarantined shards excluded.",
     "update.count": "Score/document updates applied.",
     "update.window_ms": "Batched update window latency in milliseconds.",

@@ -52,10 +52,6 @@ def zipf_corpus(n_docs, n_terms=12, seed=3):
 def build_router(method, corpus, shards, threads, n_updates=120, **extra):
     options = dict(METHOD_OPTIONS.get(method, {}))
     options.update(extra)
-    # Pin the codec under test: this suite must exercise the blocked layout
-    # (and its skip step) even when the environment runs the legacy-codec CI
-    # leg with REPRO_BLOCKED_POSTINGS=0.
-    options.setdefault("blocked_postings", True)
     router = IndexRouter.build(method, shard_count=shards, threads=threads,
                                page_size=512, cache_pages=4096, **options)
     for doc_id, terms, score in corpus:
@@ -136,24 +132,3 @@ def test_adversarial_zipf_saves_pages_strictly():
         assert pages_on < pages_off
     finally:
         router.shutdown()
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_legacy_codec_produces_identical_results(method):
-    """Flag off (legacy long-list payloads) returns the same top-k as flag on."""
-    corpus = zipf_corpus(800)
-    blocked = build_router(method, corpus, shards=1, threads=1, n_updates=60,
-                           blocked_postings=True)
-    legacy = build_router(method, corpus, shards=1, threads=1, n_updates=60,
-                          blocked_postings=False)
-    try:
-        assert legacy.index.blocked_postings is False
-        blocked_results, _, _ = run_queries(blocked, pruning=True)
-        legacy_results, _, _ = run_queries(legacy, pruning=True)
-        assert blocked_results == legacy_results
-        # The legacy layout has no block headers, so nothing can be skipped.
-        _, _, legacy_skipped = run_queries(legacy, pruning=True)
-        assert legacy_skipped == 0
-    finally:
-        blocked.shutdown()
-        legacy.shutdown()

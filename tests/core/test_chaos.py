@@ -210,13 +210,8 @@ class TestQuarantine:
 
         hot = next(f"hot{i}" for i in range(100) if term_shard(f"hot{i}", 2) == 1)
         rng = random.Random(7)
-        # blocked_postings is pinned (not left to REPRO_BLOCKED_POSTINGS):
-        # the per-block CRC under test only exists in the blocked layout, and
-        # the option persists through the app blob, so the reopen below keeps
-        # decoding the same way whatever the environment flag says.
         index = SVRTextIndex(method="id", path=str(tmp_path / "i"), shards=2,
-                             cache_pages=256, page_size=256,
-                             blocked_postings=True)
+                             cache_pages=256, page_size=256)
         # Widely spaced doc ids make the blocked list span several pages.
         for doc_id in range(600):
             index.add_document_terms(doc_id * 9973, [hot, f"x{doc_id % 5}"],

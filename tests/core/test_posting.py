@@ -1,25 +1,27 @@
-"""Tests for posting codecs (varints, ID-ordered, score-ordered and chunked lists)."""
+"""Tests for the posting codec (varints, ID-ordered, score-ordered and chunked lists)."""
 
 import pytest
 
-from repro.errors import InvertedIndexError
+from repro.errors import ChecksumError, InvertedIndexError
 from repro.core.posting import (
     ChunkRun,
     LazyBytesReader,
     Posting,
     ScoredPosting,
     build_chunk_runs,
-    decode_chunk_runs,
-    decode_id_postings,
-    decode_scored_postings,
+    decode_blocked_chunk_runs,
+    decode_blocked_id_postings,
+    decode_blocked_scored_postings,
     decode_varint,
-    encode_chunk_runs,
-    encode_id_postings,
-    encode_scored_postings,
+    encode_blocked_chunk_runs,
+    encode_blocked_id_postings,
+    encode_blocked_scored_postings,
     encode_varint,
-    iter_chunk_postings_lazy,
-    iter_id_postings_lazy,
-    iter_scored_postings_lazy,
+    iter_blocked_chunk_postings_lazy,
+    iter_blocked_id_postings_lazy,
+    iter_blocked_scored_postings_lazy,
+    peek_blocked_directory,
+    read_block_directory,
 )
 
 
@@ -48,28 +50,30 @@ class TestVarint:
 class TestIDPostings:
     def test_round_trip(self):
         postings = [Posting(doc_id=i * 7) for i in range(50)]
-        data = encode_id_postings(postings)
-        assert decode_id_postings(data) == postings
+        data = encode_blocked_id_postings(postings)
+        assert decode_blocked_id_postings(data) == postings
 
     def test_round_trip_with_term_scores(self):
         postings = [Posting(doc_id=i, term_score=i / 10) for i in range(20)]
-        data = encode_id_postings(postings, with_term_scores=True)
-        decoded = decode_id_postings(data)
+        data = encode_blocked_id_postings(postings, with_term_scores=True)
+        decoded = decode_blocked_id_postings(data)
         assert [p.doc_id for p in decoded] == [p.doc_id for p in postings]
         for got, want in zip(decoded, postings):
             assert got.term_score == pytest.approx(want.term_score, rel=1e-6)
 
     def test_unsorted_ids_rejected(self):
         with pytest.raises(InvertedIndexError):
-            encode_id_postings([Posting(5), Posting(3)])
+            encode_blocked_id_postings([Posting(5), Posting(3)])
 
     def test_empty_list(self):
-        assert decode_id_postings(encode_id_postings([])) == []
-        assert decode_id_postings(b"") == []
+        assert decode_blocked_id_postings(encode_blocked_id_postings([])) == []
+        assert decode_blocked_id_postings(b"") == []
 
     def test_delta_encoding_is_compact(self):
         dense = [Posting(doc_id=i) for i in range(1000)]
-        assert len(encode_id_postings(dense)) < 1100  # ~1 byte per posting + header
+        # ~1 byte per posting, plus the header and one ~19-byte directory
+        # entry per 128-posting block.
+        assert len(encode_blocked_id_postings(dense)) < 1200
 
 
 class TestScoredPostings:
@@ -77,19 +81,20 @@ class TestScoredPostings:
         postings = [
             ScoredPosting(doc_id=i, score=1000.0 - i) for i in range(30)
         ]
-        decoded = decode_scored_postings(encode_scored_postings(postings))
+        decoded = decode_blocked_scored_postings(encode_blocked_scored_postings(postings))
         assert [(p.doc_id, p.score) for p in decoded] == [
             (p.doc_id, p.score) for p in postings
         ]
 
     def test_requires_descending_score_order(self):
         with pytest.raises(InvertedIndexError):
-            encode_scored_postings([ScoredPosting(1, 5.0), ScoredPosting(2, 10.0)])
+            encode_blocked_scored_postings([ScoredPosting(1, 5.0), ScoredPosting(2, 10.0)])
 
     def test_scored_lists_are_larger_than_id_lists(self):
         ids = [Posting(doc_id=i) for i in range(500)]
         scored = [ScoredPosting(doc_id=i, score=10_000.0 - i) for i in range(500)]
-        assert len(encode_scored_postings(scored)) > 5 * len(encode_id_postings(ids))
+        assert (len(encode_blocked_scored_postings(scored))
+                > 5 * len(encode_blocked_id_postings(ids)))
 
 
 class TestChunkRuns:
@@ -98,7 +103,7 @@ class TestChunkRuns:
             ChunkRun(chunk_id=3, postings=(Posting(1), Posting(5), Posting(9))),
             ChunkRun(chunk_id=1, postings=(Posting(2), Posting(3))),
         ]
-        assert decode_chunk_runs(encode_chunk_runs(runs)) == runs
+        assert decode_blocked_chunk_runs(encode_blocked_chunk_runs(runs)) == runs
 
     def test_requires_descending_chunk_order(self):
         runs = [
@@ -106,12 +111,12 @@ class TestChunkRuns:
             ChunkRun(chunk_id=2, postings=(Posting(2),)),
         ]
         with pytest.raises(InvertedIndexError):
-            encode_chunk_runs(runs)
+            encode_blocked_chunk_runs(runs)
 
     def test_requires_ascending_doc_ids_within_chunk(self):
         runs = [ChunkRun(chunk_id=1, postings=(Posting(5), Posting(1)))]
         with pytest.raises(InvertedIndexError):
-            encode_chunk_runs(runs)
+            encode_blocked_chunk_runs(runs)
 
     def test_build_chunk_runs_orders_correctly(self):
         triples = [(10, 1, 0.0), (3, 2, 0.0), (7, 2, 0.0), (1, 1, 0.0), (4, 3, 0.0)]
@@ -124,18 +129,18 @@ class TestChunkRuns:
 class TestLazyDecoding:
     def test_lazy_id_decoding_matches_eager(self):
         postings = [Posting(doc_id=i * 3, term_score=0.0) for i in range(200)]
-        data = encode_id_postings(postings)
+        data = encode_blocked_id_postings(postings)
         pages = [data[i:i + 16] for i in range(0, len(data), 16)]
         reader = LazyBytesReader(iter(pages))
-        assert list(iter_id_postings_lazy(reader)) == [
+        assert list(iter_blocked_id_postings_lazy(reader)) == [
             (posting.doc_id, posting.term_score) for posting in postings
         ]
 
     def test_lazy_chunk_decoding_matches_eager(self):
         runs = build_chunk_runs([(doc, doc % 4 + 1, 0.0) for doc in range(100)])
-        data = encode_chunk_runs(runs)
+        data = encode_blocked_chunk_runs(runs)
         pages = [data[i:i + 7] for i in range(0, len(data), 7)]
-        triples = list(iter_chunk_postings_lazy(LazyBytesReader(iter(pages))))
+        triples = list(iter_blocked_chunk_postings_lazy(LazyBytesReader(iter(pages))))
         expected = [
             (run.chunk_id, posting.doc_id, posting.term_score)
             for run in runs for posting in run.postings
@@ -144,30 +149,65 @@ class TestLazyDecoding:
 
     def test_lazy_reader_consumes_pages_on_demand(self):
         postings = [Posting(doc_id=i) for i in range(1000)]
-        data = encode_id_postings(postings)
+        data = encode_blocked_id_postings(postings)
+        page_size = 32
         consumed = 0
 
         def pages():
             nonlocal consumed
-            for i in range(0, len(data), 32):
+            for i in range(0, len(data), page_size):
                 consumed += 1
-                yield data[i:i + 32]
+                yield data[i:i + page_size]
 
-        iterator = iter_id_postings_lazy(LazyBytesReader(pages()))
+        iterator = iter_blocked_id_postings_lazy(LazyBytesReader(pages()))
         for _ in range(10):
             next(iterator)
-        assert consumed < 5  # only the first pages were touched
+        # Only the header, the directory and the first block were touched.
+        blocks = read_block_directory(data).blocks
+        first_block_end = len(data) - sum(block.length for block in blocks[1:])
+        assert consumed == -(-first_block_end // page_size)
+        assert consumed < len(data) // page_size // 3
 
     def test_truncated_stream_raises(self):
-        data = encode_id_postings([Posting(doc_id=i) for i in range(100)])
+        data = encode_blocked_id_postings([Posting(doc_id=i) for i in range(100)])
         reader = LazyBytesReader(iter([data[:10]]))
         with pytest.raises(InvertedIndexError):
-            list(iter_id_postings_lazy(reader))
+            list(iter_blocked_id_postings_lazy(reader))
 
     def test_truncated_scored_stream_raises(self):
         postings = [ScoredPosting(doc_id=i, score=100.0 - i) for i in range(40)]
         for with_term_scores in (False, True):
-            data = encode_scored_postings(postings, with_term_scores=with_term_scores)
+            data = encode_blocked_scored_postings(postings,
+                                                  with_term_scores=with_term_scores)
             reader = LazyBytesReader(iter([data[:len(data) - 3]]))
             with pytest.raises(InvertedIndexError):
-                list(iter_scored_postings_lazy(reader))
+                list(iter_blocked_scored_postings_lazy(reader))
+
+
+class TestWireFormat:
+    """The header's flags byte carries only bit 0 (term scores present)."""
+
+    PAYLOADS = {
+        "id": (encode_blocked_id_postings([Posting(doc_id=i) for i in range(20)]),
+               iter_blocked_id_postings_lazy),
+        "scored": (encode_blocked_scored_postings(
+            [ScoredPosting(doc_id=i, score=50.0 - i) for i in range(20)]),
+            iter_blocked_scored_postings_lazy),
+        "chunk": (encode_blocked_chunk_runs(
+            build_chunk_runs([(doc, doc % 3, 0.0) for doc in range(20)])),
+            iter_blocked_chunk_postings_lazy),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    @pytest.mark.parametrize("flags", [2, 3, 0x80])
+    def test_unknown_flag_bits_are_rejected(self, kind, flags):
+        data, iterate = self.PAYLOADS[kind]
+        patched = bytearray(data)
+        patched[3] = flags
+        patched = bytes(patched)
+        with pytest.raises(ChecksumError):
+            list(iterate(LazyBytesReader(iter((patched,)))))
+        with pytest.raises(ChecksumError):
+            read_block_directory(patched)
+        with pytest.raises(ChecksumError):
+            peek_blocked_directory(LazyBytesReader(iter((patched,))))

@@ -1,32 +1,34 @@
-"""Property-based round-trip tests for the posting codecs.
+"""Property-based round-trip tests for the posting codec's page reader.
 
-The lazy decoders are the query-scan hot path and batch-decode runs of
-postings straight out of page fragments; these properties pin them to the
-simple eager reference decoders across randomized page splits, including the
-term-score variants and truncated inputs.
+The lazy decoders are the query-scan hot path and read blocks straight out
+of page fragments through :class:`LazyBytesReader`; these properties pin them
+to the eager decoders across randomized page splits at the default block
+span, including the term-score variants and truncated inputs.
+(``test_blocked_posting_properties.py`` sweeps block spans, bitrot and the
+prune hooks.)
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvertedIndexError
+from repro.errors import ChecksumError, InvertedIndexError
 from repro.core.posting import (
     LazyBytesReader,
     Posting,
     ScoredPosting,
     build_chunk_runs,
-    decode_chunk_runs,
-    decode_id_postings,
-    decode_scored_postings,
+    decode_blocked_chunk_runs,
+    decode_blocked_id_postings,
+    decode_blocked_scored_postings,
     decode_varint,
-    encode_chunk_runs,
-    encode_id_postings,
-    encode_scored_postings,
+    encode_blocked_chunk_runs,
+    encode_blocked_id_postings,
+    encode_blocked_scored_postings,
     encode_varint,
-    iter_chunk_postings_lazy,
-    iter_id_postings_lazy,
-    iter_scored_postings_lazy,
+    iter_blocked_chunk_postings_lazy,
+    iter_blocked_id_postings_lazy,
+    iter_blocked_scored_postings_lazy,
 )
 
 doc_ids = st.integers(min_value=0, max_value=2 ** 31 - 1)
@@ -36,6 +38,10 @@ term_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 def paginate(data: bytes, page_size: int) -> list[bytes]:
     """Split an encoded list into page-sized fragments (as a heap file would)."""
     return [data[i:i + page_size] for i in range(0, len(data), page_size)]
+
+
+def reader_for(data: bytes, page_size: int) -> LazyBytesReader:
+    return LazyBytesReader(iter(paginate(data, page_size)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,7 +56,7 @@ def test_varint_round_trip(value):
 @given(ids=st.lists(doc_ids, max_size=200, unique=True))
 def test_id_postings_round_trip(ids):
     postings = [Posting(doc_id=i) for i in sorted(ids)]
-    assert decode_id_postings(encode_id_postings(postings)) == postings
+    assert decode_blocked_id_postings(encode_blocked_id_postings(postings)) == postings
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,7 +70,7 @@ def test_id_postings_round_trip(ids):
 def test_scored_postings_round_trip(entries):
     ordered = sorted(entries, key=lambda entry: -entry[1])
     postings = [ScoredPosting(doc_id=doc, score=score) for doc, score in ordered]
-    decoded = decode_scored_postings(encode_scored_postings(postings))
+    decoded = decode_blocked_scored_postings(encode_blocked_scored_postings(postings))
     assert [(p.doc_id, p.score) for p in decoded] == [(p.doc_id, p.score) for p in postings]
 
 
@@ -79,9 +85,9 @@ def test_scored_postings_round_trip(entries):
 )
 def test_chunk_runs_round_trip_eager_and_lazy(triples, page_size):
     runs = build_chunk_runs([(doc, chunk, 0.0) for doc, chunk in triples])
-    data = encode_chunk_runs(runs)
-    assert decode_chunk_runs(data) == runs
-    lazy = list(iter_chunk_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    data = encode_blocked_chunk_runs(runs)
+    assert decode_blocked_chunk_runs(data) == runs
+    lazy = list(iter_blocked_chunk_postings_lazy(reader_for(data, page_size)))
     eager = [
         (run.chunk_id, posting.doc_id, posting.term_score)
         for run in runs for posting in run.postings
@@ -96,13 +102,13 @@ def test_chunk_runs_round_trip_eager_and_lazy(triples, page_size):
 )
 def test_lazy_id_decoding_is_page_size_independent(ids, page_size):
     postings = [Posting(doc_id=i) for i in sorted(ids)]
-    data = encode_id_postings(postings)
-    lazy = list(iter_id_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    data = encode_blocked_id_postings(postings)
+    lazy = list(iter_blocked_id_postings_lazy(reader_for(data, page_size)))
     assert lazy == [(posting.doc_id, posting.term_score) for posting in postings]
 
 
 # ---------------------------------------------------------------------------
-# Lazy-vs-eager equivalence across every codec variant
+# Lazy-vs-eager equivalence across every list kind
 # ---------------------------------------------------------------------------
 
 
@@ -114,9 +120,9 @@ def test_lazy_id_decoding_is_page_size_independent(ids, page_size):
 )
 def test_lazy_id_termscore_matches_eager(entries, page_size):
     postings = [Posting(doc_id=doc, term_score=score) for doc, score in sorted(entries)]
-    data = encode_id_postings(postings, with_term_scores=True)
-    eager = [(p.doc_id, p.term_score) for p in decode_id_postings(data)]
-    lazy = list(iter_id_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    data = encode_blocked_id_postings(postings, with_term_scores=True)
+    eager = [(p.doc_id, p.term_score) for p in decode_blocked_id_postings(data)]
+    lazy = list(iter_blocked_id_postings_lazy(reader_for(data, page_size)))
     assert lazy == eager
 
 
@@ -137,9 +143,9 @@ def test_lazy_scored_matches_eager(entries, page_size, with_term_scores):
         ScoredPosting(doc_id=doc, score=score, term_score=ts)
         for doc, score, ts in ordered
     ]
-    data = encode_scored_postings(postings, with_term_scores=with_term_scores)
-    eager = [(p.doc_id, p.score, p.term_score) for p in decode_scored_postings(data)]
-    lazy = list(iter_scored_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    data = encode_blocked_scored_postings(postings, with_term_scores=with_term_scores)
+    eager = [(p.doc_id, p.score, p.term_score) for p in decode_blocked_scored_postings(data)]
+    lazy = list(iter_blocked_scored_postings_lazy(reader_for(data, page_size)))
     assert lazy == eager
 
 
@@ -154,12 +160,12 @@ def test_lazy_scored_matches_eager(entries, page_size, with_term_scores):
 )
 def test_lazy_chunk_termscore_matches_eager(triples, page_size):
     runs = build_chunk_runs(triples)
-    data = encode_chunk_runs(runs, with_term_scores=True)
+    data = encode_blocked_chunk_runs(runs, with_term_scores=True)
     eager = [
         (run.chunk_id, posting.doc_id, posting.term_score)
-        for run in decode_chunk_runs(data) for posting in run.postings
+        for run in decode_blocked_chunk_runs(data) for posting in run.postings
     ]
-    lazy = list(iter_chunk_postings_lazy(LazyBytesReader(iter(paginate(data, page_size)))))
+    lazy = list(iter_blocked_chunk_postings_lazy(reader_for(data, page_size)))
     assert lazy == eager
 
 
@@ -177,13 +183,13 @@ def test_lazy_chunk_termscore_matches_eager(triples, page_size):
 )
 def test_truncated_id_list_raises_or_is_prefix(ids, page_size, with_term_scores, data):
     postings = [Posting(doc_id=i, term_score=0.5) for i in sorted(ids)]
-    encoded = encode_id_postings(postings, with_term_scores=with_term_scores)
+    encoded = encode_blocked_id_postings(postings, with_term_scores=with_term_scores)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
     reader = LazyBytesReader(iter(paginate(encoded[:cut], page_size)))
     expected = [(p.doc_id, p.term_score if with_term_scores else 0.0) for p in postings]
     produced = []
-    with pytest.raises(InvertedIndexError):
-        for item in iter_id_postings_lazy(reader):
+    with pytest.raises((ChecksumError, InvertedIndexError)):
+        for item in iter_blocked_id_postings_lazy(reader):
             produced.append(item)
     # Everything decoded before the truncation error must be a prefix of the
     # true posting sequence — batch decoding must not emit garbage first.
@@ -205,7 +211,7 @@ def test_truncated_id_list_raises_or_is_prefix(ids, page_size, with_term_scores,
 def test_truncated_chunk_list_raises_or_is_prefix(triples, page_size,
                                                   with_term_scores, data):
     runs = build_chunk_runs(triples)
-    encoded = encode_chunk_runs(runs, with_term_scores=with_term_scores)
+    encoded = encode_blocked_chunk_runs(runs, with_term_scores=with_term_scores)
     cut = data.draw(st.integers(min_value=1, max_value=len(encoded) - 1))
     reader = LazyBytesReader(iter(paginate(encoded[:cut], page_size)))
     expected = [
@@ -213,7 +219,7 @@ def test_truncated_chunk_list_raises_or_is_prefix(triples, page_size,
         for run in runs for p in run.postings
     ]
     produced = []
-    with pytest.raises(InvertedIndexError):
-        for item in iter_chunk_postings_lazy(reader):
+    with pytest.raises((ChecksumError, InvertedIndexError)):
+        for item in iter_blocked_chunk_postings_lazy(reader):
             produced.append(item)
     assert produced == expected[: len(produced)]

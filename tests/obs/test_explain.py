@@ -137,11 +137,11 @@ def test_plan_shape_and_term_layouts():
         assert engine["method"] == "chunk"
         assert engine["shards"] == 4
         assert isinstance(engine["pruning_eligible"], bool)
-        assert isinstance(engine["seek_eligible"], bool)
         by_term = {row["term"]: row for row in plan["terms"]}
         assert by_term["zzzabsent"]["layout"] == "absent"
         present = by_term["w001"]
-        assert present["layout"] in ("blocked", "legacy", "btree-clustered")
+        assert present["layout"] == "blocked"
+        assert "codec" not in present
         assert present["estimated_postings"] > 0
         assert 0 <= present["shard"] < 4
         assert "cacheable" in present["cache"]

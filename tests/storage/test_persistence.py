@@ -672,7 +672,7 @@ class TestBlockedPayloadIntegrity:
         import random as random_module
 
         rng = random_module.Random(7)
-        index = create_index("id", env, DocumentStore(), blocked_postings=True)
+        index = create_index("id", env, DocumentStore())
         # Widely spaced doc ids keep the deltas multi-byte, so the blocked
         # list spans several 256-byte pages and page-level corruption lands
         # inside block payloads.
